@@ -11,13 +11,14 @@
 //!    specializer has a surrogate to move to;
 //! 5. factor applicable method signatures (`FactorMethods`, §6.1);
 //! 6. re-type bodies and result types (§6.3);
-//! 7. optionally check every preservation invariant against a
-//!    pre-derivation snapshot.
+//! 7. optionally check every preservation invariant against the
+//!    pre-derivation schema (a fork's frozen parent, or else a clone).
 //!
 //! The returned [`Derivation`] records everything the pipeline did, enough
 //! to reproduce the paper's Examples 1–4 verbatim.
 
 use std::collections::{BTreeSet, HashMap};
+use std::sync::Arc;
 use std::time::Duration;
 use td_model::{AnalysisPrecision, AttrId, MethodId, Schema, TypeId};
 
@@ -82,7 +83,8 @@ pub struct ProjectionOptions {
     /// Record the `IsApplicable` trace (costs allocations; used by the
     /// reproduction harness).
     pub record_trace: bool,
-    /// Snapshot the schema and verify invariants I1–I5 after deriving.
+    /// Verify invariants I1–I5 after deriving, against the pre-derivation
+    /// schema (an unmutated fork's parent, or else a clone).
     pub check_invariants: bool,
     /// Permit an empty projection list (a view with no attributes).
     pub allow_empty: bool,
@@ -311,11 +313,14 @@ pub fn project(
         }
     }
 
-    let before = if opts.check_invariants {
-        Some(schema.clone())
-    } else {
-        None
-    };
+    // The state the I1–I5 check compares against. An unmutated fork's
+    // frozen parent is exactly that state, so the served path (fork, then
+    // project) costs no second deep copy; any other schema is cloned.
+    let before: Option<Arc<Schema>> = opts.check_invariants.then(|| {
+        schema
+            .fork_parent()
+            .unwrap_or_else(|| Arc::new(schema.clone()))
+    });
 
     // One clock read per stage boundary feeds BOTH the `StageTimings`
     // slot and (when telemetry is on) the emitted stage span, so the two

@@ -467,6 +467,11 @@ impl BatchDeriver {
         // gets a child id sharing the parent's 16-hex family prefix —
         // one grep over a drained trace finds the whole batch.
         let parent_trace = td_telemetry::current_trace();
+        // Span depth is thread-local too. Workers record their spans at
+        // the caller's depth, so each `batch/request` nests inside
+        // `batch/run` exactly as on the spawn-free path below, and the
+        // trace does not depend on the thread count.
+        let depth = td_telemetry::current_depth();
 
         let per_worker: Vec<Vec<RequestOutcome>> = if threads == 1 {
             // Spawn-free sequential fast path: one worker would only
@@ -480,15 +485,17 @@ impl BatchDeriver {
                 let handles: Vec<_> = (0..threads)
                     .map(|_| {
                         scope.spawn(|| {
-                            let mut mine = Vec::new();
-                            loop {
-                                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                                if i >= n {
-                                    break;
+                            td_telemetry::at_depth(depth, || {
+                                let mut mine = Vec::new();
+                                loop {
+                                    let i = cursor.fetch_add(1, Ordering::Relaxed);
+                                    if i >= n {
+                                        break;
+                                    }
+                                    mine.push(self.run_one(i, &requests[i], parent_trace));
                                 }
-                                mine.push(self.run_one(i, &requests[i], parent_trace));
-                            }
-                            mine
+                                mine
+                            })
                         })
                     })
                     .collect();
@@ -863,8 +870,10 @@ mod tests {
         assert!(outcome.stats.stages.total() > Duration::ZERO);
         assert!(outcome.stats.cpu_time >= outcome.stats.stages.total());
         assert!(outcome.stats.wall_clock > Duration::ZERO);
-        // The invariant replay dispatches plenty; the rollup must see it.
-        assert!(outcome.stats.cache.dispatch_hits + outcome.stats.cache.dispatch_misses > 0);
+        // I5 validation and the I2 replay read the CPL memo and rank
+        // tables (the replay bypasses the per-call dispatch tables); the
+        // rollup must see it.
+        assert!(outcome.stats.cache.cpl_hits + outcome.stats.cache.cpl_misses > 0);
         let text = outcome.stats.to_string();
         assert!(text.contains("3 requests"));
         assert!(text.contains("stages:"));

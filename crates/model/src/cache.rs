@@ -1,15 +1,15 @@
 //! The dispatch acceleration layer: memoized CPLs and a delta-invalidated
 //! dispatch-table cache.
 //!
-//! Multi-method dispatch is the repository's hot loop. The I2 invariant
-//! replay (`td-core`) re-dispatches every pre-existing call tuple after a
-//! refactoring pass, and the `IsApplicable` call-graph walk re-scans a
-//! generic function's methods at every call site. Uncached, each
-//! `most_specific` call recomputes class precedence lists (a topological
-//! sort over the ancestor DAG, per argument) and rescans every method of
-//! the generic function — O(calls × methods × hierarchy). The standard fix
-//! in the multi-method literature is dispatch-table precomputation; this
-//! module implements the lazy variant of it:
+//! Multi-method dispatch is the repository's hot loop. The `IsApplicable`
+//! call-graph walk re-scans a generic function's methods at every call
+//! site, and lint, explain and the interpreter ask the same calls again
+//! and again. Uncached, each `most_specific` call recomputes class
+//! precedence lists (a topological sort over the ancestor DAG, per
+//! argument) and rescans every method of the generic function —
+//! O(calls × methods × hierarchy). The standard fix in the multi-method
+//! literature is dispatch-table precomputation; this module implements
+//! the lazy variant of it:
 //!
 //! * **CPL memo** — `cpl(t)` and the collapsed specificity ranks derived
 //!   from it are computed once per type per schema *generation* and shared
@@ -17,7 +17,11 @@
 //! * **Dispatch tables** — per `(GfId, argument-type-vector)` the cache
 //!   stores both the unranked applicable-method set (consumed by the
 //!   `IsApplicable` walk) and the ranked list (consumed by
-//!   `rank_applicable`/`most_specific`).
+//!   `rank_applicable`/`most_specific`). A table entry pays off only when
+//!   its key repeats. The I2 invariant replay (`td-core`) visits every
+//!   call tuple exactly once per schema, so it bypasses these tables
+//!   through `Schema::most_specific_one_shot` and uses only the rank
+//!   tables, which every tuple over the same types shares.
 //! * **Delta invalidation** — every schema mutation emits a structured
 //!   [`crate::delta::SchemaDelta`] describing what changed
 //!   (a type node touched, a method added, …). Recording a delta is O(1)

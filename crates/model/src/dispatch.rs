@@ -260,6 +260,20 @@ impl Schema {
         Ok(self.cached_ranked(gf, args)?.first().copied())
     }
 
+    /// [`Schema::most_specific`] for a call that will not be dispatched
+    /// again: scans the generic function's methods and picks the winner
+    /// with the memoized per-type rank tables, but neither reads nor
+    /// writes the per-`(gf, args)` dispatch tables. A dispatch table pays
+    /// off only when its key repeats; a sweep that visits every argument
+    /// tuple once (the I2 invariant replay in `td-core`) would pay a miss,
+    /// an insert and later an eviction per tuple for nothing. The rank
+    /// tables are keyed by type, so a sweep reuses them across tuples.
+    pub fn most_specific_one_shot(&self, gf: GfId, args: &[CallArg]) -> Result<Option<MethodId>> {
+        let applicable = self.applicable_methods_uncached(gf, args);
+        let ranked = self.rank_methods(applicable, args, |s, t| s.cached_ranks(t))?;
+        Ok(ranked.first().copied())
+    }
+
     /// [`Schema::most_specific`] bypassing the dispatch cache entirely.
     pub fn most_specific_uncached(&self, gf: GfId, args: &[CallArg]) -> Result<Option<MethodId>> {
         Ok(self.rank_applicable_uncached(gf, args)?.into_iter().next())
@@ -372,6 +386,49 @@ mod tests {
             .unwrap();
         let args = [CallArg::Object(b), CallArg::Object(b)];
         assert_eq!(s.rank_applicable(g, &args).unwrap(), vec![g1, g2]);
+    }
+
+    #[test]
+    fn one_shot_dispatch_picks_the_cached_winner_without_the_tables() {
+        let mut s = Schema::new();
+        let a = s.add_type("A", &[]).unwrap();
+        let b = s.add_type("B", &[a]).unwrap();
+        let g = s.add_gf("g", 2, None).unwrap();
+        for (label, specs) in [("g_aa", [a, a]), ("g_ab", [a, b]), ("g_ba", [b, a])] {
+            s.add_method(
+                g,
+                label,
+                specs.iter().map(|&t| Specializer::Type(t)).collect(),
+                MethodKind::General(Default::default()),
+                None,
+            )
+            .unwrap();
+        }
+        let before = s.dispatch_cache_stats();
+        for args in [[a, a], [a, b], [b, a], [b, b]] {
+            let args = args.map(CallArg::Object);
+            assert_eq!(
+                s.most_specific_one_shot(g, &args).unwrap(),
+                s.most_specific_uncached(g, &args).unwrap(),
+                "{args:?}"
+            );
+        }
+        assert_eq!(
+            s.most_specific_one_shot(g, &[CallArg::Null, CallArg::Null])
+                .unwrap(),
+            s.most_specific_uncached(g, &[CallArg::Null, CallArg::Null])
+                .unwrap()
+        );
+        let after = s.dispatch_cache_stats();
+        assert_eq!(
+            after.dispatch_hits + after.dispatch_misses,
+            before.dispatch_hits + before.dispatch_misses
+        );
+        assert_eq!(after.dispatch_entries, 0);
+        assert!(
+            after.cpl_hits > before.cpl_hits,
+            "rank tables are reused across calls"
+        );
     }
 
     #[test]

@@ -2,8 +2,9 @@
 //! methods.
 //!
 //! Everything the paper's algorithms touch lives here, addressed by dense
-//! ids. The struct is `Clone` — the invariant checkers snapshot a schema
-//! before a derivation and compare observable behavior afterwards.
+//! ids. The struct is `Clone` — the invariant checkers compare a
+//! derivation's result against the schema as it was before (the frozen
+//! parent of an unmutated fork, or else a clone).
 
 use crate::attrs::{AttrDef, ValueType};
 use crate::cache::DispatchCache;
@@ -25,7 +26,7 @@ use std::sync::Arc;
 /// into the schema's [`NameTable`] arena, and the name→entity lookup maps
 /// are keyed by `NameId`. String-typed entry points ([`Schema::type_id`]
 /// and friends) resolve through the arena first.
-#[derive(Debug, Clone, Default)]
+#[derive(Clone, Default)]
 pub struct Schema {
     pub(crate) names: NameTable,
     pub(crate) types: Vec<TypeNode>,
@@ -38,6 +39,26 @@ pub struct Schema {
     /// The dispatch acceleration layer (see [`crate::cache`]). Every
     /// mutator below bumps its generation via [`Schema::note_mutation`].
     pub(crate) cache: DispatchCache,
+    /// The frozen snapshot this schema was forked from, kept only while
+    /// the fork is unmutated (see [`Schema::fork_parent`]). Not part of
+    /// the schema's content: never serialized and left out of `Debug`.
+    pub(crate) parent: Option<Arc<Schema>>,
+}
+
+impl std::fmt::Debug for Schema {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Schema")
+            .field("names", &self.names)
+            .field("types", &self.types)
+            .field("type_names", &self.type_names)
+            .field("attrs", &self.attrs)
+            .field("attr_names", &self.attr_names)
+            .field("gfs", &self.gfs)
+            .field("gf_names", &self.gf_names)
+            .field("methods", &self.methods)
+            .field("cache", &self.cache)
+            .finish()
+    }
 }
 
 impl Schema {
@@ -53,9 +74,23 @@ impl Schema {
     /// from every `&mut self` path that can alter dispatch-relevant state;
     /// conservative over-description ([`SchemaDelta::Full`]) is fine,
     /// missing a mutation is not.
+    ///
+    /// A mutated fork also forgets its parent: it no longer equals it, and
+    /// it must not keep the parent alive.
     #[inline]
     pub(crate) fn note_mutation(&mut self, delta: SchemaDelta) {
+        self.parent = None;
         self.cache.note(delta);
+    }
+
+    /// The frozen snapshot this schema was [forked](SchemaSnapshot::fork)
+    /// from, if the schema has not been changed since the fork — so the
+    /// parent equals it in every type, attribute, generic function and
+    /// method, and can stand in for a pre-mutation clone. `None` for a
+    /// schema that is not a fork, and for a fork after its first mutation
+    /// (or its first interned name).
+    pub fn fork_parent(&self) -> Option<Arc<Schema>> {
+        self.parent.clone()
     }
 
     // ---------------------------------------------------------------- names
@@ -64,6 +99,7 @@ impl Schema {
     /// Interning alone never invalidates caches — nothing dispatch-relevant
     /// changes until the name is attached to an entity.
     pub fn intern(&mut self, s: &str) -> NameId {
+        self.parent = None;
         self.names.intern(s)
     }
 
@@ -511,13 +547,13 @@ impl Schema {
     /// Freezes a copy-on-write snapshot of this schema (one deep clone;
     /// every [`SchemaSnapshot::clone`] after that is a pointer bump).
     pub fn snapshot(&self) -> SchemaSnapshot {
-        SchemaSnapshot {
-            inner: Arc::new(self.clone()),
-        }
+        self.clone().into_snapshot()
     }
 
-    /// Freezes this schema into a snapshot without cloning it.
-    pub fn into_snapshot(self) -> SchemaSnapshot {
+    /// Freezes this schema into a snapshot without cloning it. A frozen
+    /// fork drops its link to its own parent, so snapshots never chain.
+    pub fn into_snapshot(mut self) -> SchemaSnapshot {
+        self.parent = None;
         SchemaSnapshot {
             inner: Arc::new(self),
         }
@@ -553,13 +589,18 @@ impl SchemaSnapshot {
 
     /// A private deep copy for mutation (the copy-on-write "write" step).
     /// The fork starts from the snapshot's exact state, warm cache
-    /// entries included.
+    /// entries included, and remembers the snapshot as its
+    /// [`fork_parent`](Schema::fork_parent) until its first mutation — a
+    /// derivation on the fork compares against that frozen parent instead
+    /// of cloning the schema a second time.
     pub fn fork(&self) -> Schema {
-        (*self.inner).clone()
+        let mut fork = (*self.inner).clone();
+        fork.parent = Some(Arc::clone(&self.inner));
+        fork
     }
 
-    /// Number of live handles to the shared schema (snapshot clones, not
-    /// forks). Diagnostic only.
+    /// Number of live handles to the shared schema: snapshot clones, plus
+    /// forks that are still unmutated. Diagnostic only.
     pub fn handles(&self) -> usize {
         Arc::strong_count(&self.inner)
     }
@@ -720,6 +761,36 @@ mod tests {
         assert_eq!(fork2.n_attrs(), 1);
         assert!(fork1.attr_id("y").is_err());
         assert!(fork2.attr_id("x").is_err());
+    }
+
+    #[test]
+    fn fork_remembers_its_parent_until_mutated() {
+        let mut s = Schema::new();
+        let a = s.add_type("A", &[]).unwrap();
+        assert!(s.fork_parent().is_none(), "a plain schema has no parent");
+        let snap = s.into_snapshot();
+        let mut fork = snap.fork();
+        let parent = fork.fork_parent().expect("a fresh fork knows its parent");
+        assert!(std::ptr::eq(parent.as_ref(), snap.schema()));
+        drop(parent);
+        assert_eq!(snap.handles(), 2, "the unmutated fork holds its parent");
+        // A clone of an unmutated fork still equals the parent.
+        assert!(fork.clone().fork_parent().is_some());
+        // Neither the parent nor the link shows in `Debug`.
+        assert!(!format!("{fork:?}").contains("parent"));
+
+        fork.add_attr("x", ValueType::INT, a).unwrap();
+        assert!(fork.fork_parent().is_none(), "a mutated fork forgets it");
+        assert_eq!(snap.handles(), 1, "and stops pinning it");
+
+        // Interning a name is a change too; freezing a fork drops the
+        // link, so snapshots never chain.
+        let mut fork = snap.fork();
+        fork.intern("fresh");
+        assert!(fork.fork_parent().is_none());
+        let refrozen = snap.fork().into_snapshot();
+        assert_eq!(snap.handles(), 1);
+        assert!(refrozen.fork_parent().is_none());
     }
 
     #[test]

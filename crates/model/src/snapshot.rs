@@ -1244,6 +1244,7 @@ pub fn load_snapshot(bytes: &[u8]) -> Sres<(Schema, Vec<(String, String)>)> {
         gf_names,
         methods,
         cache: Default::default(),
+        parent: None,
     };
 
     let cpl = decode_cpl(&sections)?;

@@ -1124,6 +1124,26 @@ mod tests {
     }
 
     #[test]
+    fn invalid_utf8_and_truncated_bodies_are_structured_400s() {
+        let api = Api::new();
+        let body = project_body(&inline_schema_field());
+        // A byte that can never occur in UTF-8, inside a JSON string.
+        let mut invalid = body.clone().into_bytes();
+        let at = invalid.iter().position(|&b| b == b'P').unwrap();
+        invalid[at] = 0xFF;
+        let r = api.handle("POST", "/v1/project", "", &invalid);
+        assert_eq!(r.status, 400, "{}", r.body);
+        assert!(r.body.contains("UTF-8"), "{}", r.body);
+        // Every byte prefix — including cuts inside a multi-byte
+        // character — answers 400, never a panic.
+        let body = body.replace("Employee", "Employée");
+        for cut in 1..body.len() {
+            let r = api.handle("POST", "/v1/project", "", &body.as_bytes()[..cut]);
+            assert_eq!(r.status, 400, "prefix {cut}: {}", r.body);
+        }
+    }
+
+    #[test]
     fn applicable_partitions_methods() {
         let api = Api::new();
         let body = format!(

@@ -32,6 +32,7 @@ impl Json {
     /// Parses a complete JSON document (rejects trailing garbage).
     pub fn parse(src: &str) -> Result<Json, String> {
         let mut p = Parser {
+            src,
             bytes: src.as_bytes(),
             pos: 0,
         };
@@ -124,6 +125,10 @@ pub fn str_array<I: IntoIterator<Item = S>, S: AsRef<str>>(items: I) -> String {
 }
 
 struct Parser<'a> {
+    /// The document; `bytes` is the same text as bytes. Every token
+    /// boundary the parser stops at is an ASCII byte, hence a char
+    /// boundary of `src`, so slices of it never need re-validating.
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -261,10 +266,9 @@ impl Parser<'_> {
                         Some(b'r') => out.push('\r'),
                         Some(b'u') => {
                             let hex = self
-                                .bytes
+                                .src
                                 .get(self.pos + 1..self.pos + 5)
                                 .ok_or("truncated \\u escape")?;
-                            let hex = std::str::from_utf8(hex).map_err(|e| e.to_string())?;
                             let code = u32::from_str_radix(hex, 16).map_err(|e| e.to_string())?;
                             out.push(char::from_u32(code).ok_or("invalid \\u escape")?);
                             self.pos += 4;
@@ -274,11 +278,13 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|e| e.to_string())?;
-                    let c = s.chars().next().ok_or("unterminated string")?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // A run of plain characters up to the next quote or
+                    // escape, copied in one step: linear in the string.
+                    let start = self.pos;
+                    while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+                        self.pos += 1;
+                    }
+                    out.push_str(&self.src[start..self.pos]);
                 }
             }
         }
@@ -289,7 +295,7 @@ impl Parser<'_> {
         while let Some(b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9') = self.peek() {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|e| e.to_string())?;
+        let text = &self.src[start..self.pos];
         text.parse::<f64>()
             .map(Json::Num)
             .map_err(|e| format!("bad number `{text}`: {e}"))
@@ -320,6 +326,54 @@ mod tests {
         assert!(Json::parse("").is_err());
         assert_eq!(Json::parse("1.5").unwrap().as_usize(), None);
         assert_eq!(Json::parse("-3").unwrap().as_usize(), None);
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time_and_round_trip() {
+        // ~1 MB of mixed ASCII, multi-byte characters and escapes. A
+        // parser that re-validates the remaining input per character is
+        // quadratic here (minutes); the time bound catches that.
+        let unit = "schema text é ü → 𝔸 \"quoted\" \\ tab\t\n";
+        let text: String = unit.repeat(1_000_000 / unit.len() + 1);
+        assert!(text.len() >= 1_000_000);
+        let started = std::time::Instant::now();
+        let v = Json::parse(&quote(&text)).unwrap();
+        assert_eq!(v.as_str(), Some(text.as_str()));
+        assert!(
+            started.elapsed() < std::time::Duration::from_secs(5),
+            "1 MB string took {:?}",
+            started.elapsed()
+        );
+    }
+
+    #[test]
+    fn multi_byte_characters_and_escapes_decode() {
+        let v = Json::parse(r#"["Π_{a}(T̂)", "日本語", "\u00e9\u2192", "x\/y"]"#).unwrap();
+        let items: Vec<&str> = v
+            .as_arr()
+            .unwrap()
+            .iter()
+            .map(|j| j.as_str().unwrap())
+            .collect();
+        assert_eq!(items, ["Π_{a}(T̂)", "日本語", "é→", "x/y"]);
+        // A \u escape whose four "digits" run into a multi-byte character
+        // is an error, not a slice across a char boundary.
+        assert!(Json::parse("\"\\u123é\"").is_err());
+        assert!(Json::parse("\"\\ud800\"").is_err(), "lone surrogate");
+    }
+
+    #[test]
+    fn every_truncation_is_a_structured_error() {
+        let doc = r#"{"tenant": "t", "attrs": ["ä", "\u00e9", 1.5e3, true, null], "s": "x\ny"}"#;
+        assert!(Json::parse(doc).is_ok());
+        for (cut, _) in doc.char_indices().skip(1) {
+            assert!(Json::parse(&doc[..cut]).is_err(), "prefix {cut} parsed");
+        }
+        for bad in [
+            "\"", "\"\\", "\"\\u12", "\"\\q\"", "[\"a\", ", "{\"a\"", "-", "tru",
+        ] {
+            assert!(Json::parse(bad).is_err(), "{bad:?} parsed");
+        }
     }
 
     #[test]

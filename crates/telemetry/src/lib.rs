@@ -62,8 +62,8 @@ pub mod window;
 pub use export::{chrome_trace, parse_chrome_trace, render_prometheus, render_summary, TraceSpan};
 pub use metrics::{MetricsSnapshot, Reset};
 pub use span::{
-    drain, dropped_events_total, emit_span, events_for_trace, span, span_with_args, ArgValue,
-    SpanEvent, SpanGuard,
+    at_depth, current_depth, drain, dropped_events_total, emit_span, events_for_trace, span,
+    span_with_args, ArgValue, SpanEvent, SpanGuard,
 };
 pub use trace::{current_trace, trace_scope, TraceId, TraceScope};
 pub use window::{WindowSummary, WindowedCounter, WindowedHistogram, WINDOW_SECONDS};

@@ -139,6 +139,27 @@ thread_local! {
     static DEPTH: Cell<u32> = const { Cell::new(0) };
 }
 
+/// The calling thread's span nesting depth: the number of spans open on
+/// it. Hand it to [`at_depth`] on a helper thread so the helper's spans
+/// nest under the caller's open span, at the depth they would have had
+/// if the caller had run the work itself.
+pub fn current_depth() -> u32 {
+    DEPTH.with(|d| d.get())
+}
+
+/// Runs `f` with this thread's span depth set to `depth`, and restores the
+/// previous depth afterwards (also if `f` panics).
+pub fn at_depth<R>(depth: u32, f: impl FnOnce() -> R) -> R {
+    struct Restore(u32);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            DEPTH.with(|d| d.set(self.0));
+        }
+    }
+    let _restore = Restore(DEPTH.with(|d| d.replace(depth)));
+    f()
+}
+
 /// Records a pre-measured complete span. Instrumentation sites that
 /// already time a phase for their own accounting (e.g. `StageTimings` in
 /// `td_core::project`) call this with the very same measurement, so the
@@ -343,6 +364,30 @@ mod tests {
         assert_eq!(events[1].args, vec![("k", ArgValue::Int(7))]);
         assert!(events[1].start_ns >= events[0].start_ns);
         assert!(events[0].dur_ns >= events[1].dur_ns);
+    }
+
+    #[test]
+    fn helper_threads_nest_at_the_callers_depth() {
+        let _guard = serial();
+        crate::set_enabled(true);
+        let _ = drain();
+        {
+            let _outer = span("test", "outer");
+            let depth = current_depth();
+            assert_eq!(depth, 1);
+            std::thread::scope(|scope| {
+                scope.spawn(|| {
+                    at_depth(depth, || {
+                        let _inner = span("test", "helper");
+                    });
+                    assert_eq!(current_depth(), 0, "depth restored");
+                });
+            });
+        }
+        crate::set_enabled(false);
+        let events = drain();
+        let helper = events.iter().find(|e| e.name == "helper").unwrap();
+        assert_eq!(helper.depth, 1);
     }
 
     #[test]

@@ -7,15 +7,27 @@
 //! ```
 //!
 //! The generator is deterministic in its parameters, so the same
-//! arguments reproduce the same file on any machine.
+//! arguments reproduce the same file on any machine. `-h`/`--help`
+//! prints the usage; any other argument starting with `-` is rejected
+//! (exit 2) rather than taken for a file name.
 
 use td_model::text::schema_to_text;
 use td_workload::wide_schema;
 
+const USAGE: &str = "usage: gen_schema <out.td> [n-types] [seed]";
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if args.iter().any(|a| a == "-h" || a == "--help") {
+        println!("{USAGE}");
+        return;
+    }
+    if let Some(flag) = args.iter().find(|a| a.starts_with('-')) {
+        eprintln!("gen_schema: unknown option `{flag}`\n{USAGE}");
+        std::process::exit(2);
+    }
     let Some(out) = args.first() else {
-        eprintln!("usage: gen_schema <out.td> [n-types] [seed]");
+        eprintln!("{USAGE}");
         std::process::exit(2);
     };
     let n_types: usize = args.get(1).map_or(10_000, |v| {

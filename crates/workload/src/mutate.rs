@@ -20,13 +20,28 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use td_model::{BodyBuilder, Expr, MethodKind, Schema, Specializer, TypeId, ValueType};
 
+/// `base` if `taken` rejects it, else the first of `base_2`, `base_3`, …
+/// it accepts. Step-numbered names collide only when a stream runs again
+/// over a schema an earlier stream already mutated.
+fn fresh_name(base: String, taken: impl Fn(&str) -> bool) -> String {
+    if !taken(&base) {
+        return base;
+    }
+    (2..)
+        .map(|k| format!("{base}_{k}"))
+        .find(|name| !taken(name))
+        .expect("some suffix is free")
+}
+
 /// Applies `n` seeded random mutations to `schema` and returns a
 /// human-readable log of what each step did.
 ///
 /// Every mutation keeps the schema well-formed (the stream only adds
 /// entities or touches existing ones; it never breaks a linearization).
 /// Given equal starting schemas and equal `(n, seed)`, two replays make
-/// exactly the same edits in the same order.
+/// exactly the same edits in the same order. The function may run again
+/// on a schema it already mutated: a step-numbered name that is taken
+/// gets the first free `_2`, `_3`, … suffix.
 pub fn apply_random_mutations(schema: &mut Schema, n: usize, seed: u64) -> Vec<String> {
     let mut rng = SmallRng::seed_from_u64(seed ^ 0x_DE17A_u64);
     let mut log = Vec::with_capacity(n);
@@ -38,7 +53,7 @@ pub fn apply_random_mutations(schema: &mut Schema, n: usize, seed: u64) -> Vec<S
             // parent's descendant cone (which is empty — it's a leaf).
             0 => {
                 let parent = live[rng.gen_range(0..live.len())];
-                let name = format!("Mut{step}");
+                let name = fresh_name(format!("Mut{step}"), |n| schema.type_id(n).is_ok());
                 let t = schema
                     .add_type(name.clone(), &[parent])
                     .expect("fresh name cannot collide");
@@ -51,7 +66,7 @@ pub fn apply_random_mutations(schema: &mut Schema, n: usize, seed: u64) -> Vec<S
             // footprint universe without touching existing CPLs.
             1 => {
                 let owner = live[rng.gen_range(0..live.len())];
-                let name = format!("mut{step}_a");
+                let name = fresh_name(format!("mut{step}_a"), |n| schema.attr_id(n).is_ok());
                 let a = schema
                     .add_attr(name.clone(), ValueType::INT, owner)
                     .expect("fresh attr cannot collide");
@@ -65,7 +80,7 @@ pub fn apply_random_mutations(schema: &mut Schema, n: usize, seed: u64) -> Vec<S
             // body reads a random accessor.
             2 => {
                 let spec = live[rng.gen_range(0..live.len())];
-                let gf_name = format!("mutf{step}");
+                let gf_name = fresh_name(format!("mutf{step}"), |n| schema.gf_id(n).is_ok());
                 let gf = schema
                     .add_gf(gf_name.clone(), 1, None)
                     .expect("fresh gf cannot collide");
@@ -81,7 +96,7 @@ pub fn apply_random_mutations(schema: &mut Schema, n: usize, seed: u64) -> Vec<S
                 schema
                     .add_method(
                         gf,
-                        format!("mutf{step}_m"),
+                        format!("{gf_name}_m"),
                         vec![Specializer::Type(spec)],
                         MethodKind::General(bb.finish()),
                         None,
@@ -104,19 +119,22 @@ pub fn apply_random_mutations(schema: &mut Schema, n: usize, seed: u64) -> Vec<S
                 let specs: Vec<Specializer> = (0..arity)
                     .map(|_| Specializer::Type(live[rng.gen_range(0..live.len())]))
                     .collect();
+                let label = fresh_name(format!("mut{step}_m"), |l| {
+                    schema.method_by_label(l).is_ok()
+                });
                 let mut bb = BodyBuilder::new();
                 bb.call(gf, (0..arity).map(Expr::Param).collect());
                 let landed = schema
                     .add_method(
                         gf,
-                        format!("mut{step}_m"),
+                        label.clone(),
                         specs,
                         MethodKind::General(bb.finish()),
                         None,
                     )
                     .is_ok();
                 format!(
-                    "step {step}: add method mut{step}_m to {} (landed: {landed})",
+                    "step {step}: add method {label} to {} (landed: {landed})",
                     schema.gf_name(gf)
                 )
             }
@@ -164,6 +182,38 @@ mod tests {
             td_model::schema_to_text(&b),
             "replayed schemas must be structurally identical"
         );
+    }
+
+    #[test]
+    fn a_second_stream_over_a_mutated_schema_picks_fresh_names() {
+        let params = GenParams {
+            seed: 11,
+            ..GenParams::default()
+        };
+        let run = || {
+            let mut s = random_schema(&params);
+            let first = apply_random_mutations(&mut s, 40, 5);
+            let second = apply_random_mutations(&mut s, 40, 5);
+            s.validate()
+                .expect("twice-mutated schema stays well-formed");
+            (first, second, td_model::schema_to_text(&s))
+        };
+        let (first, second, text) = run();
+        assert_eq!(second.len(), 40);
+        // The same stream again: every step-numbered name was taken, so
+        // each addition got a suffix and the first stream's log is
+        // unchanged.
+        assert!(
+            first.iter().any(|l| l.contains("add type Mut")),
+            "{first:?}"
+        );
+        assert!(second.iter().any(|l| l.contains("_2")), "{second:?}");
+        let mut fresh = random_schema(&params);
+        assert_eq!(apply_random_mutations(&mut fresh, 40, 5), first);
+        // Re-entry is as deterministic as the first call, and the
+        // result (unique names throughout) parses back from its text.
+        assert_eq!(run(), (first, second, text.clone()));
+        td_model::parse_schema(&text).expect("text reparses");
     }
 
     #[test]

@@ -4,14 +4,17 @@
 //! `rank_applicable`, `most_specific`) must agree with its `_uncached`
 //! ground-truth twin on randomized schemas — when the cache is cold, when
 //! it is warm, and after mutations (a full projection derivation) that
-//! invalidate it via the generation counter.
+//! invalidate it via the generation counter. The one-shot dispatch the
+//! I2 invariant replay uses must pick the same winners without touching
+//! the per-call tables.
 
 use proptest::prelude::*;
 use typederive::derive::{project, ProjectionOptions};
 use typederive::driver::{BatchDeriver, BatchRequest};
-use typederive::model::{CallArg, Schema, TypeId};
+use typederive::model::{CallArg, GfId, Schema, TypeId};
 use typederive::workload::{
-    batch_requests, deepest_type, random_projection, random_schema, GenParams,
+    apply_random_mutations, batch_requests, deepest_type, random_projection, random_schema,
+    GenParams,
 };
 
 fn params_strategy() -> impl Strategy<Value = GenParams> {
@@ -57,14 +60,11 @@ fn params_strategy() -> impl Strategy<Value = GenParams> {
         )
 }
 
-/// Sweeps every live type's CPL and a deterministic sample of call tuples
-/// for every generic function, asserting the cached and uncached answers
-/// coincide. Each sweep also warms the cache for the next one.
-fn assert_cache_transparent(schema: &Schema) -> Result<(), TestCaseError> {
+/// A deterministic sample of call tuples over live types for every
+/// generic function (at most 64 per gf).
+fn call_tuples(schema: &Schema) -> Vec<(GfId, Vec<CallArg>)> {
     let types: Vec<TypeId> = schema.live_type_ids().collect();
-    for &t in &types {
-        prop_assert_eq!(schema.cpl(t).ok(), schema.cpl_uncached(t).ok());
-    }
+    let mut out = Vec::new();
     for gf in schema.gf_ids() {
         let arity = schema.gf(gf).arity;
         if arity == 0 || types.is_empty() {
@@ -80,29 +80,78 @@ fn assert_cache_transparent(schema: &Schema) -> Result<(), TestCaseError> {
                 args.push(CallArg::Object(types[rem % types.len()]));
                 rem /= types.len();
             }
-            prop_assert_eq!(
-                schema.applicable_methods(gf, &args),
-                schema.applicable_methods_uncached(gf, &args),
-                "applicable diverged for {} {:?}",
-                schema.gf(gf).name,
-                args
-            );
-            prop_assert_eq!(
-                schema.rank_applicable(gf, &args).ok(),
-                schema.rank_applicable_uncached(gf, &args).ok(),
-                "ranking diverged for {} {:?}",
-                schema.gf(gf).name,
-                args
-            );
-            prop_assert_eq!(
-                schema.most_specific(gf, &args).ok(),
-                schema.most_specific_uncached(gf, &args).ok(),
-                "winner diverged for {} {:?}",
-                schema.gf(gf).name,
-                args
-            );
+            out.push((gf, args));
             idx += stride;
         }
+    }
+    out
+}
+
+/// Sweeps every live type's CPL and the sampled call tuples, asserting
+/// the cached and uncached answers coincide. Each sweep also warms the
+/// cache for the next one.
+fn assert_cache_transparent(schema: &Schema) -> Result<(), TestCaseError> {
+    for t in schema.live_type_ids() {
+        prop_assert_eq!(schema.cpl(t).ok(), schema.cpl_uncached(t).ok());
+    }
+    for (gf, args) in call_tuples(schema) {
+        prop_assert_eq!(
+            schema.applicable_methods(gf, &args),
+            schema.applicable_methods_uncached(gf, &args),
+            "applicable diverged for {} {:?}",
+            schema.gf(gf).name,
+            args
+        );
+        prop_assert_eq!(
+            schema.rank_applicable(gf, &args).ok(),
+            schema.rank_applicable_uncached(gf, &args).ok(),
+            "ranking diverged for {} {:?}",
+            schema.gf(gf).name,
+            args
+        );
+        prop_assert_eq!(
+            schema.most_specific(gf, &args).ok(),
+            schema.most_specific_uncached(gf, &args).ok(),
+            "winner diverged for {} {:?}",
+            schema.gf(gf).name,
+            args
+        );
+    }
+    Ok(())
+}
+
+/// Dispatches the sampled call tuples through the one-shot path the I2
+/// invariant replay uses — all of them first, so the sweep sees the rank
+/// tables in whatever state the schema is in — and requires the winner
+/// `most_specific` picks. The one-shot path must neither read nor write
+/// the per-call dispatch tables.
+fn assert_one_shot_matches(schema: &Schema) -> Result<(), TestCaseError> {
+    let tuples = call_tuples(schema);
+    let before = schema.dispatch_cache_stats();
+    let once: Vec<_> = tuples
+        .iter()
+        .map(|(gf, args)| schema.most_specific_one_shot(*gf, args).ok())
+        .collect();
+    let after = schema.dispatch_cache_stats();
+    // (Entries may shrink: the first rank-table read after a mutation
+    // settles the pending deltas, which evicts stale dispatch entries.)
+    prop_assert_eq!(
+        (after.dispatch_hits, after.dispatch_misses),
+        (before.dispatch_hits, before.dispatch_misses),
+        "one-shot dispatch looked up the dispatch tables"
+    );
+    prop_assert!(
+        after.dispatch_entries <= before.dispatch_entries,
+        "one-shot dispatch filled the dispatch tables"
+    );
+    for ((gf, args), once) in tuples.iter().zip(once) {
+        prop_assert_eq!(
+            once,
+            schema.most_specific(*gf, args).ok(),
+            "one-shot winner diverged for {} {:?}",
+            schema.gf(*gf).name,
+            args
+        );
     }
     Ok(())
 }
@@ -123,6 +172,33 @@ proptest! {
         prop_assert!(after_second.dispatch_hits > after_first.dispatch_hits,
             "second sweep should hit the warm cache: {} vs {}",
             after_second.dispatch_hits, after_first.dispatch_hits);
+    }
+
+    #[test]
+    fn one_shot_dispatch_equals_most_specific_cold_warm_and_after_mutation(
+        params in params_strategy(),
+        keep in 0.1f64..1.0,
+        proj_seed in any::<u64>(),
+        stream_seed in any::<u64>(),
+    ) {
+        let mut schema = random_schema(&params);
+        // Cold: no CPL or rank table exists yet (generation validated the
+        // schema, which linearized every type).
+        schema.clear_dispatch_cache();
+        prop_assert_eq!(schema.dispatch_cache_stats().cpl_entries, 0);
+        assert_one_shot_matches(&schema)?;
+        // Warm: rank and dispatch tables are resident.
+        assert_cache_transparent(&schema)?;
+        assert_one_shot_matches(&schema)?;
+        // After mutation: a derivation rewires the hierarchy and rewrites
+        // methods, and a mutation stream adds types, methods and gfs.
+        let source = deepest_type(&schema);
+        let projection = random_projection(&schema, source, keep, proj_seed);
+        if !projection.is_empty() {
+            project(&mut schema, source, &projection, &ProjectionOptions::fast()).unwrap();
+        }
+        apply_random_mutations(&mut schema, 6, stream_seed);
+        assert_one_shot_matches(&schema)?;
     }
 
     #[test]

@@ -17,50 +17,9 @@ use typederive::derive::{
     compute_applicability, compute_applicability_fixpoint, compute_applicability_indexed,
 };
 use typederive::model::{MethodId, Schema, TypeId, ValueType};
-use typederive::workload::{deepest_type, random_projection, random_schema, GenParams};
+use typederive::workload::{deepest_type, random_projection, random_schema};
 
-fn params_strategy() -> impl Strategy<Value = GenParams> {
-    (
-        2usize..28,   // n_types
-        1usize..4,    // max_supers
-        0.0f64..0.8,  // mi_fraction
-        0usize..3,    // attrs_per_type
-        0.3f64..1.0,  // reader_fraction
-        1usize..10,   // n_gfs
-        1usize..4,    // methods_per_gf
-        1usize..3,    // max_arity
-        0usize..5,    // calls_per_body
-        0.0f64..0.6,  // assign_fraction
-        any::<u64>(), // seed
-    )
-        .prop_map(
-            |(
-                n_types,
-                max_supers,
-                mi_fraction,
-                attrs_per_type,
-                reader_fraction,
-                n_gfs,
-                methods_per_gf,
-                max_arity,
-                calls_per_body,
-                assign_fraction,
-                seed,
-            )| GenParams {
-                n_types,
-                max_supers,
-                mi_fraction,
-                attrs_per_type,
-                reader_fraction,
-                n_gfs,
-                methods_per_gf,
-                max_arity,
-                calls_per_body,
-                assign_fraction,
-                seed,
-            },
-        )
-}
+mod common;
 
 /// Runs all three engines and asserts their applicable / not-applicable
 /// classifications are identical as sets (the indexed engine may order
@@ -115,7 +74,7 @@ proptest! {
 
     #[test]
     fn engines_agree_cold_warm_and_after_mutation(
-        params in params_strategy(),
+        params in common::engine_corpus_params(),
         keep in 0.0f64..1.0,
         proj_seed in any::<u64>(),
     ) {
